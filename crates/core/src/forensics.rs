@@ -11,7 +11,7 @@
 //! the same seed no matter how many fleet workers raced around the
 //! crash.
 
-use pds_flash::BlackboxRecovery;
+use pds_flash::StampedRecovery;
 use pds_obs::flight::{code, subsystem, EventFrame};
 use pds_obs::json::ObjWriter;
 
@@ -100,7 +100,7 @@ impl ForensicsReport {
     pub fn correlate(
         token: u64,
         timeline: Vec<EventFrame>,
-        scan: &BlackboxRecovery,
+        scan: &StampedRecovery,
         recovery: ReopenReport,
     ) -> ForensicsReport {
         let rows_lost: u32 = recovery.rows_lost.iter().map(|(_, n)| n).sum();
@@ -116,7 +116,7 @@ impl ForensicsReport {
         ForensicsReport {
             token,
             timeline,
-            frames_recovered: scan.frames_recovered,
+            frames_recovered: scan.records_recovered,
             torn_pages_discarded: scan.torn_pages_discarded,
             malformed_dropped: scan.malformed_dropped,
             cause,
@@ -233,8 +233,8 @@ mod tests {
 
     #[test]
     fn cause_classification_is_ordered_by_evidence() {
-        let scan = BlackboxRecovery {
-            frames_recovered: 3,
+        let scan = StampedRecovery {
+            records_recovered: 3,
             torn_pages_discarded: 1,
             malformed_dropped: 0,
         };
@@ -251,7 +251,7 @@ mod tests {
         let r = ForensicsReport::correlate(7, vec![], &scan, clean_recovery());
         assert_eq!(r.cause, CrashCause::TornRecorderTail);
 
-        let quiet = BlackboxRecovery::default();
+        let quiet = StampedRecovery::default();
         let r = ForensicsReport::correlate(7, vec![], &quiet, clean_recovery());
         assert_eq!(r.cause, CrashCause::CleanShutdown);
         assert!(!r.crashed());
@@ -273,8 +273,8 @@ mod tests {
 
     #[test]
     fn render_and_json_carry_the_timeline() {
-        let scan = BlackboxRecovery {
-            frames_recovered: 2,
+        let scan = StampedRecovery {
+            records_recovered: 2,
             torn_pages_discarded: 1,
             malformed_dropped: 0,
         };

@@ -13,7 +13,7 @@ use pds_crypto::SymmetricKey;
 use pds_db::mvcc::{kind, DOC_STORE};
 use pds_db::value::Value;
 use pds_db::{Database, DatabaseManifest, GcReport, Hlc, Predicate, Row, RowId, Snapshot};
-use pds_flash::{BlackBox, BlockId, ChangeRec, FlashError, DEFAULT_FRAME_CAP};
+use pds_flash::{BlackBox, BlockId, ChangeRec, FlashError};
 use pds_mcu::{Token, TokenId, TokenSleep};
 use pds_obs::flight::{self, code, subsystem, Severity};
 use pds_search::{DfStrategy, EngineManifest, SearchEngine, SearchHit};
@@ -61,6 +61,14 @@ use crate::data::{
 /// [`Pds::wake`].
 pub struct PdsHibernation {
     sleep: TokenSleep,
+    carried: Carried,
+}
+
+/// What survives a power-down outside the chip: the recovery manifests
+/// of every durable structure plus the RAM-carried metadata. Both
+/// [`Pds::reopen`] and [`Pds::wake`] rebuild a PDS from a booted token
+/// and one of these.
+struct Carried {
     owner: String,
     engine_manifest: EngineManifest,
     db_manifest: DatabaseManifest,
@@ -74,7 +82,6 @@ pub struct PdsHibernation {
     /// The flight-recorder ring's durable identity (a hibernation holds
     /// no flash handle; the ring is recovered from its blocks on wake).
     blackbox_blocks: Vec<BlockId>,
-    blackbox_cap: usize,
 }
 
 impl PdsHibernation {
@@ -162,7 +169,7 @@ impl Pds {
         db.enable_mvcc(token.id().0 as u32);
         let owner_key =
             SymmetricKey::from_seed(format!("owner-key:{owner}:{}", token.id().0).as_bytes());
-        let blackbox = BlackBox::new(&flash, DEFAULT_FRAME_CAP);
+        let blackbox = BlackBox::new(&flash);
         Ok(Pds {
             token,
             owner: owner.to_string(),
@@ -283,21 +290,42 @@ impl Pds {
     /// as the data logs.
     pub fn reopen(self) -> Result<(Pds, ReopenReport), PdsError> {
         let _span = pds_obs::span!("pds.reopen", "pds.owner" => self.owner.as_str());
+        let (token, carried) = self.power_down();
+        Pds::recover(token.reopen(), carried)
+    }
+
+    /// Split off the token and everything that outlives its RAM.
+    fn power_down(self) -> (Token, Carried) {
+        let carried = Carried {
+            owner: self.owner,
+            engine_manifest: self.engine.manifest(),
+            db_manifest: self.db.manifest(),
+            policy: self.policy,
+            audit: self.audit,
+            owner_key: self.owner_key,
+            protocol_key: self.protocol_key,
+            clock_day: self.clock_day,
+            subs: self.subs,
+            next_sub: self.next_sub,
+            blackbox_blocks: self.blackbox.blocks(),
+        };
+        (self.token, carried)
+    }
+
+    /// The one recovery body behind [`Pds::reopen`] and [`Pds::wake`]:
+    /// every durable structure recovers on the booted `token`, and the
+    /// forensics report correlates the recovered ring with the losses.
+    fn recover(token: Token, c: Carried) -> Result<(Pds, ReopenReport), PdsError> {
         // Frames staged by the operation the power loss killed never
         // reached flash — discard them so the rebuilt ring cannot
         // contain phantom events the durable timeline never saw.
         let _ = flight::drain();
-        let engine_manifest = self.engine.manifest();
-        let db_manifest = self.db.manifest();
-        let bb_blocks = self.blackbox.blocks();
-        let bb_cap = self.blackbox.capacity();
-        let token = self.token.reopen();
         let flash = token.flash().clone();
         let ram = token.ram().clone();
-        let (engine, er) = SearchEngine::recover(&flash, &ram, &engine_manifest)?;
+        let (engine, er) = SearchEngine::recover(&flash, &ram, &c.engine_manifest)?;
         let (db, rows_lost, mr) =
-            Database::recover(&flash, &ram, &db_manifest, Some(er.docs_recovered))?;
-        let (mut blackbox, scan) = BlackBox::recover(&flash, &bb_blocks, bb_cap)?;
+            Database::recover(&flash, &ram, &c.db_manifest, Some(er.docs_recovered))?;
+        let (blackbox, scan) = BlackBox::recover(&flash, &c.blackbox_blocks)?;
         let report = ReopenReport {
             docs_recovered: er.docs_recovered,
             docs_lost: er.docs_lost,
@@ -319,26 +347,24 @@ impl Pds {
             code::RECOVERY_REOPEN,
             [u64::from(report.docs_recovered), report.changes_dropped],
         );
-        let _ = blackbox.absorb(flight::drain());
-        let subs = clamp_cursors(self.subs, &db);
-        Ok((
-            Pds {
-                token,
-                owner: self.owner,
-                engine,
-                db,
-                policy: self.policy,
-                audit: self.audit,
-                owner_key: self.owner_key,
-                protocol_key: self.protocol_key,
-                clock_day: self.clock_day,
-                subs,
-                next_sub: self.next_sub,
-                blackbox,
-                last_forensics: Some(forensics),
-            },
-            report,
-        ))
+        let subs = clamp_cursors(c.subs, &db);
+        let mut pds = Pds {
+            token,
+            owner: c.owner,
+            engine,
+            db,
+            policy: c.policy,
+            audit: c.audit,
+            owner_key: c.owner_key,
+            protocol_key: c.protocol_key,
+            clock_day: c.clock_day,
+            subs,
+            next_sub: c.next_sub,
+            blackbox,
+            last_forensics: Some(forensics),
+        };
+        pds.absorb_flight();
+        Ok((pds, report))
     }
 
     /// Power this PDS down to its persistent state: flush every buffered
@@ -352,20 +378,10 @@ impl Pds {
     pub fn hibernate(mut self) -> Result<PdsHibernation, PdsError> {
         self.note(Severity::Info, code::CORE_HIBERNATE, [0, 0]);
         self.sync()?;
+        let (token, carried) = self.power_down();
         Ok(PdsHibernation {
-            sleep: self.token.hibernate(),
-            owner: self.owner,
-            engine_manifest: self.engine.manifest(),
-            db_manifest: self.db.manifest(),
-            policy: self.policy,
-            audit: self.audit,
-            owner_key: self.owner_key,
-            protocol_key: self.protocol_key,
-            clock_day: self.clock_day,
-            subs: self.subs,
-            next_sub: self.next_sub,
-            blackbox_blocks: self.blackbox.blocks(),
-            blackbox_cap: self.blackbox.capacity(),
+            sleep: token.hibernate(),
+            carried,
         })
     }
 
@@ -374,53 +390,7 @@ impl Pds {
     /// power cycle ([`Pds::reopen`]). A clean hibernation reports zero
     /// losses.
     pub fn wake(h: PdsHibernation) -> Result<(Pds, ReopenReport), PdsError> {
-        let _ = flight::drain();
-        let token = Token::wake(h.sleep);
-        let flash = token.flash().clone();
-        let ram = token.ram().clone();
-        let (engine, er) = SearchEngine::recover(&flash, &ram, &h.engine_manifest)?;
-        let (db, rows_lost, mr) =
-            Database::recover(&flash, &ram, &h.db_manifest, Some(er.docs_recovered))?;
-        let (mut blackbox, scan) = BlackBox::recover(&flash, &h.blackbox_blocks, h.blackbox_cap)?;
-        let report = ReopenReport {
-            docs_recovered: er.docs_recovered,
-            docs_lost: er.docs_lost,
-            tombstones_applied: er.tombstones_applied,
-            rows_lost,
-            changes_dropped: mr.as_ref().map_or(0, |r| r.changes_dropped),
-        };
-        let forensics = ForensicsReport::correlate(
-            token.id().0,
-            blackbox.frames().to_vec(),
-            &scan,
-            report.clone(),
-        );
-        flight::record(
-            Severity::Info,
-            subsystem::RECOVERY,
-            code::RECOVERY_REOPEN,
-            [u64::from(report.docs_recovered), report.changes_dropped],
-        );
-        let _ = blackbox.absorb(flight::drain());
-        let subs = clamp_cursors(h.subs, &db);
-        Ok((
-            Pds {
-                token,
-                owner: h.owner,
-                engine,
-                db,
-                policy: h.policy,
-                audit: h.audit,
-                owner_key: h.owner_key,
-                protocol_key: h.protocol_key,
-                clock_day: h.clock_day,
-                subs,
-                next_sub: h.next_sub,
-                blackbox,
-                last_forensics: Some(forensics),
-            },
-            report,
-        ))
+        Pds::recover(Token::wake(h.sleep), h.carried)
     }
 
     // ---- ingestion -----------------------------------------------------
@@ -1276,7 +1246,7 @@ mod tests {
         let mut pds = populated_pds();
         pds.commit().unwrap();
         pds.sync().unwrap();
-        let n_durable = pds.blackbox().num_frames();
+        let n_durable = pds.blackbox().frames().len() as u64;
         assert!(n_durable >= 6, "5 ingests + 1 commit + 1 sync recorded");
         let (pds, report) = pds.reopen().unwrap();
         assert_eq!(report.docs_lost, 0);

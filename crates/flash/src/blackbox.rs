@@ -5,19 +5,20 @@
 //! [`EventFrame`]s (`{tick, severity, subsystem, code, args}` — codes
 //! and ids only, never payload bytes) through the same fault-injectable
 //! NAND layer as the data it describes. Frames ride ordinary
-//! [`LogWriter`] record pages, so they inherit the whole flash
-//! contract: strictly sequential programs, per-page CRCs, and a
-//! recovery scan that truncates a torn tail to the durable prefix —
-//! torn frames are *dropped*, never decoded.
+//! [`LogWriter`](crate::LogWriter) record pages, so they inherit the
+//! whole flash contract: strictly sequential programs, per-page CRCs,
+//! and a recovery scan that truncates a torn tail to the durable prefix
+//! — torn frames are *dropped*, never decoded.
 //!
-//! Ticks are a per-token monotone sequence stamped at absorb time, so
-//! the recovered ring is always a causal prefix of the pre-crash
-//! timeline: [`BlackBox::recover`] cuts at the first frame that fails
-//! to decode or breaks tick monotonicity, and everything after the cut
-//! is discarded with it. The ring is bounded ([`BlackBox::capacity`])
+//! Ticks are a per-token monotone sequence stamped at absorb time; the
+//! ring is a [`StampedLog`] whose order rule is a strictly increasing
+//! tick, so the recovered ring is always a causal prefix of the
+//! pre-crash timeline: [`BlackBox::recover`] cuts at the first frame
+//! that fails to decode or does not raise the tick, and everything after
+//! the cut is discarded with it. The ring is bounded ([`FRAME_CAP`])
 //! and wear-aware: when it overflows, the newest half is rewritten into
-//! a fresh log (whole-log rewrite — partial GC never occurs on this
-//! flash) whose blocks come from the allocator's normal wear rotation.
+//! a fresh log whose blocks come from the allocator's normal wear
+//! rotation.
 //!
 //! The recorder sits *outside* the MVCC/changelog machinery on purpose:
 //! it must stay appendable while those structures are mid-recovery, and
@@ -28,95 +29,69 @@
 //! `blackbox.compactions`, `blackbox.pages_flushed`,
 //! `blackbox.frames_recovered`, `blackbox.torn_tails_truncated`.
 
-use pds_obs::flight::EventFrame;
+use pds_obs::flight::{EventFrame, FRAME_BYTES};
 
 use crate::error::Result;
 use crate::geometry::BlockId;
-use crate::log::LogWriter;
+use crate::stamped::{FixedRecord, StampedLog, StampedRecovery};
 use crate::Flash;
 
-/// Default bounded capacity of one token's ring, in frames.
-pub const DEFAULT_FRAME_CAP: usize = 512;
+/// Bounded capacity of one token's ring, in frames.
+pub const FRAME_CAP: usize = 512;
 
-/// What a [`BlackBox::recover`] scan found and did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BlackboxRecovery {
-    /// Frames recovered into the rebuilt ring (the pre-crash timeline).
-    pub frames_recovered: u64,
-    /// Torn pages discarded at the CRC truncation point.
-    pub torn_pages_discarded: u64,
-    /// 1 when a frame failed to decode or broke tick monotonicity and
-    /// cut the ring there (everything after it is dropped too).
-    pub malformed_dropped: u64,
-}
+impl FixedRecord for EventFrame {
+    type Wire = [u8; FRAME_BYTES];
 
-impl BlackboxRecovery {
-    /// True when the scan truncated anything — the signature of a crash
-    /// mid-record, as opposed to a clean shutdown.
-    pub fn truncated(&self) -> bool {
-        self.torn_pages_discarded > 0 || self.malformed_dropped > 0
+    fn encode(&self) -> [u8; FRAME_BYTES] {
+        EventFrame::encode(self)
+    }
+
+    fn decode(bytes: &[u8]) -> Option<EventFrame> {
+        EventFrame::decode(bytes)
+    }
+
+    /// Strictly increasing tick: every frame gets its own.
+    fn follows(&self, prev: &EventFrame) -> bool {
+        self.tick > prev.tick
     }
 }
 
 /// A bounded, durably recoverable ring of [`EventFrame`]s with a RAM
 /// mirror (28 B per frame) serving timeline reads without page I/O.
 pub struct BlackBox {
-    flash: Flash,
-    log: LogWriter,
-    /// RAM mirror of every exposed frame, in tick order.
-    frames: Vec<EventFrame>,
-    cap: usize,
+    log: StampedLog<EventFrame>,
     next_tick: u64,
 }
 
 impl BlackBox {
     /// An empty ring; no flash block is held until the first flush.
-    pub fn new(flash: &Flash, cap: usize) -> Self {
+    pub fn new(flash: &Flash) -> Self {
         BlackBox {
-            flash: flash.clone(),
-            log: flash.new_log(),
-            frames: Vec::new(),
-            cap: cap.max(8),
+            log: StampedLog::new(flash),
             next_tick: 0,
         }
     }
 
     /// Frames currently exposed (flushed + buffered), in tick order.
     pub fn frames(&self) -> &[EventFrame] {
-        &self.frames
-    }
-
-    /// Exposed frame count.
-    pub fn num_frames(&self) -> u64 {
-        self.frames.len() as u64
-    }
-
-    /// The bounded ring capacity, in frames.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Tick of the newest frame, if any.
-    pub fn last_tick(&self) -> Option<u64> {
-        self.frames.last().map(|f| f.tick)
+        self.log.records()
     }
 
     /// The erase blocks the ring occupies — its durable identity, to be
     /// carried by the layer above and handed to [`BlackBox::recover`].
     pub fn blocks(&self) -> Vec<BlockId> {
-        self.log.blocks().to_vec()
+        self.log.blocks()
     }
 
     /// Stamp one staged frame with the next tick and append it. When
-    /// the ring overflows its capacity, the oldest half is compacted
-    /// away ([`BlackBox::compact`]).
+    /// the ring overflows [`FRAME_CAP`], the oldest half is compacted
+    /// away.
     pub fn record(&mut self, mut frame: EventFrame) -> Result<()> {
         frame.tick = self.next_tick;
-        self.log.append(&frame.encode())?;
+        self.log.append(frame)?;
         self.next_tick += 1;
-        self.frames.push(frame);
         pds_obs::counter("blackbox.frames_written").inc();
-        if self.frames.len() > self.cap {
+        if self.frames().len() > FRAME_CAP {
             self.compact()?;
         }
         Ok(())
@@ -135,97 +110,35 @@ impl BlackBox {
 
     /// Durably flush buffered frames to flash.
     pub fn flush(&mut self) -> Result<()> {
-        let before = self.log.num_pages();
-        self.log.flush()?;
-        let pages = u64::from(self.log.num_pages() - before);
+        let pages = self.log.flush()?;
         if pages > 0 {
             pds_obs::counter("blackbox.pages_flushed").add(pages);
         }
         Ok(())
     }
 
-    /// Every frame with a tick at or after `from`, in tick order — the
-    /// timeline read forensics is built on.
-    pub fn frames_since(&self, from: u64) -> &[EventFrame] {
-        let at = self.frames.partition_point(|f| f.tick < from);
-        &self.frames[at..]
-    }
-
-    /// Drop the oldest half of the ring by rewriting the newest half
-    /// into a fresh log and returning the old blocks to the pool
-    /// (append-only structures compact by whole-log rewrite; the fresh
-    /// blocks come from the allocator's wear rotation, so a chatty
-    /// recorder cannot pin one block until it dies). The survivors are
-    /// made durable before the old blocks are freed — compaction never
-    /// narrows durable history.
+    /// Drop the oldest half of the ring (a chatty recorder cannot pin
+    /// one block until it dies).
     fn compact(&mut self) -> Result<()> {
-        let keep_from = self.frames.len() / 2;
-        let mut fresh = self.flash.new_log();
-        for f in &self.frames[keep_from..] {
-            fresh.append(&f.encode())?;
-        }
-        fresh.flush()?;
-        pds_obs::counter("blackbox.pages_flushed").add(u64::from(fresh.num_pages()));
-        let old = std::mem::replace(&mut self.log, fresh);
-        old.discard();
-        let dropped = keep_from as u64;
-        self.frames.drain(..keep_from);
+        let keep_from = self.frames().len() / 2;
+        let pages = self.log.compact_keep_from(keep_from)?;
+        pds_obs::counter("blackbox.pages_flushed").add(pages);
         pds_obs::counter("blackbox.compactions").inc();
-        pds_obs::counter("blackbox.frames_dropped").add(dropped);
+        pds_obs::counter("blackbox.frames_dropped").add(keep_from as u64);
         Ok(())
     }
 
-    /// Rebuild a ring after a power loss from its block list. The page
-    /// scan is [`LogWriter::recover`] (CRC-checked, torn tail
-    /// truncated); on top of it, any frame that fails to decode or
-    /// breaks strict tick monotonicity cuts the ring there — the
-    /// recovered timeline is always a causal prefix of the pre-crash
-    /// history, and torn bytes are never decoded into phantom events.
-    pub fn recover(
-        flash: &Flash,
-        blocks: &[BlockId],
-        cap: usize,
-    ) -> Result<(BlackBox, BlackboxRecovery)> {
-        let (log, rep) = LogWriter::recover(flash, blocks)?;
-        let mut frames: Vec<EventFrame> = Vec::new();
-        let mut malformed = 0u64;
-        'pages: for page in 0..log.num_pages() {
-            for bytes in log.read_page_records(page)? {
-                let parsed = EventFrame::decode(&bytes);
-                let monotone = match (&parsed, frames.last()) {
-                    (Some(f), Some(last)) => f.tick > last.tick,
-                    (Some(_), None) => true,
-                    (None, _) => false,
-                };
-                match parsed {
-                    Some(f) if monotone => frames.push(f),
-                    _ => {
-                        malformed = 1;
-                        break 'pages;
-                    }
-                }
-            }
-        }
-        let report = BlackboxRecovery {
-            frames_recovered: frames.len() as u64,
-            torn_pages_discarded: rep.torn_pages_discarded,
-            malformed_dropped: malformed,
-        };
-        pds_obs::counter("blackbox.frames_recovered").add(report.frames_recovered);
+    /// Rebuild a ring after a power loss from its block list
+    /// ([`StampedLog::recover`]); torn bytes are never decoded into
+    /// phantom events, and ticks continue after the recovered prefix.
+    pub fn recover(flash: &Flash, blocks: &[BlockId]) -> Result<(BlackBox, StampedRecovery)> {
+        let (log, report) = StampedLog::<EventFrame>::recover(flash, blocks)?;
+        pds_obs::counter("blackbox.frames_recovered").add(report.records_recovered);
         if report.truncated() {
             pds_obs::counter("blackbox.torn_tails_truncated").inc();
         }
-        let next_tick = frames.last().map_or(0, |f| f.tick + 1);
-        Ok((
-            BlackBox {
-                flash: flash.clone(),
-                log,
-                frames,
-                cap: cap.max(8),
-                next_tick,
-            },
-            report,
-        ))
+        let next_tick = log.last().map_or(0, |f| f.tick + 1);
+        Ok((BlackBox { log, next_tick }, report))
     }
 }
 
@@ -241,21 +154,20 @@ mod tests {
     #[test]
     fn record_stamps_a_monotone_tick_sequence() {
         let f = Flash::small(16);
-        let mut bb = BlackBox::new(&f, 64);
+        let mut bb = BlackBox::new(&f);
         for k in 0..10u64 {
             bb.record(frame(code::CORE_INGEST, k)).unwrap();
         }
-        assert_eq!(bb.num_frames(), 10);
+        assert_eq!(bb.frames().len(), 10);
         let ticks: Vec<u64> = bb.frames().iter().map(|fr| fr.tick).collect();
         assert_eq!(ticks, (0..10).collect::<Vec<_>>());
-        assert_eq!(bb.frames_since(7).len(), 3);
-        assert_eq!(bb.last_tick(), Some(9));
+        assert_eq!(bb.frames().last().map(|fr| fr.tick), Some(9));
     }
 
     #[test]
     fn recover_returns_the_durable_prefix() {
         let f = Flash::small(16);
-        let mut bb = BlackBox::new(&f, 1024);
+        let mut bb = BlackBox::new(&f);
         for k in 0..200u64 {
             bb.record(frame(code::CORE_INGEST, k)).unwrap();
         }
@@ -266,56 +178,62 @@ mod tests {
         let blocks = bb.blocks();
 
         let f2 = f.reboot();
-        let (rec, report) = BlackBox::recover(&f2, &blocks, 1024).unwrap();
-        assert_eq!(report.frames_recovered, durable.len() as u64);
+        let (rec, report) = BlackBox::recover(&f2, &blocks).unwrap();
+        assert_eq!(report.records_recovered, durable.len() as u64);
         assert_eq!(rec.frames(), &durable[..], "durable prefix verbatim");
         assert!(!report.truncated(), "clean flush: nothing torn");
-        assert_eq!(rec.last_tick(), Some(199));
+        assert_eq!(rec.frames().last().map(|fr| fr.tick), Some(199));
     }
 
     #[test]
     fn recovered_ring_keeps_stamping_after_the_prefix() {
         let f = Flash::small(16);
-        let mut bb = BlackBox::new(&f, 64);
+        let mut bb = BlackBox::new(&f);
         for k in 0..5u64 {
             bb.record(frame(code::CORE_INGEST, k)).unwrap();
         }
         bb.flush().unwrap();
         let blocks = bb.blocks();
         let f2 = f.reboot();
-        let (mut rec, _) = BlackBox::recover(&f2, &blocks, 64).unwrap();
+        let (mut rec, _) = BlackBox::recover(&f2, &blocks).unwrap();
         rec.record(frame(code::CORE_SYNC, 0)).unwrap();
-        assert_eq!(rec.last_tick(), Some(5), "ticks continue past recovery");
+        assert_eq!(
+            rec.frames().last().map(|fr| fr.tick),
+            Some(5),
+            "ticks continue past recovery"
+        );
     }
 
     #[test]
     fn overflow_compacts_to_the_newest_half_and_frees_blocks() {
         let f = Flash::small(64);
         let before = f.free_blocks();
-        let mut bb = BlackBox::new(&f, 64);
-        for k in 0..500u64 {
+        let mut bb = BlackBox::new(&f);
+        // Ten rings' worth: uncompacted, this would fill 20 blocks.
+        let n = 10 * FRAME_CAP as u64;
+        for k in 0..n {
             bb.record(frame(code::CORE_INGEST, k)).unwrap();
         }
-        assert!(bb.num_frames() <= 64, "ring stays bounded");
+        assert!(bb.frames().len() <= FRAME_CAP, "ring stays bounded");
         // The surviving window is the newest frames, ticks intact.
         let last = bb.frames().last().unwrap();
-        assert_eq!(last.tick, 499);
-        assert_eq!(last.args[0], 499);
+        assert_eq!(last.tick, n - 1);
+        assert_eq!(last.args[0], n - 1);
         let ticks: Vec<u64> = bb.frames().iter().map(|fr| fr.tick).collect();
         assert!(ticks.windows(2).all(|w| w[0] < w[1]), "monotone survivors");
         // Compaction returned old blocks: the ring occupies a bounded
         // number of blocks no matter how much was recorded through it.
+        // A full ring is 512 frames of 30 B = 32 pages of 512 B = 2
+        // blocks of 16 pages, plus the partly filled tail block.
         bb.flush().unwrap();
-        assert!(
-            before - f.free_blocks() <= 2,
-            "ring pinned {} blocks",
-            before - f.free_blocks()
-        );
+        let pinned = before - f.free_blocks();
+        assert!(pinned <= 3, "ring pinned {pinned} blocks");
+        assert_eq!(pinned, bb.blocks().len(), "no block leaked");
         // And the compacted ring still recovers verbatim.
         let durable: Vec<EventFrame> = bb.frames().to_vec();
         let blocks = bb.blocks();
         let f2 = f.reboot();
-        let (rec, _) = BlackBox::recover(&f2, &blocks, 64).unwrap();
+        let (rec, _) = BlackBox::recover(&f2, &blocks).unwrap();
         assert_eq!(rec.frames(), &durable[..]);
     }
 
@@ -323,7 +241,7 @@ mod tests {
     fn torn_tail_truncates_and_never_decodes() {
         for cut_after in [1u64, 3, 7, 11] {
             let f = Flash::small(16);
-            let mut bb = BlackBox::new(&f, 1024);
+            let mut bb = BlackBox::new(&f);
             // A durable prefix, then a fault plan that cuts the power
             // mid-flush of the next burst.
             for k in 0..40u64 {
@@ -348,11 +266,11 @@ mod tests {
             assert!(crashed, "cut_after {cut_after}: cut never fired");
             let blocks = bb.blocks();
             let f2 = f.reboot();
-            let (rec, report) = BlackBox::recover(&f2, &blocks, 1024).unwrap();
-            assert_eq!(report.frames_recovered, rec.num_frames());
+            let (rec, report) = BlackBox::recover(&f2, &blocks).unwrap();
+            assert_eq!(report.records_recovered, rec.frames().len() as u64);
             // The recovered timeline is a causal prefix: at least the
             // durable prefix, never a frame that was not recorded.
-            assert!(rec.num_frames() >= durable.len() as u64, "prefix lost");
+            assert!(rec.frames().len() >= durable.len(), "prefix lost");
             assert_eq!(
                 &rec.frames()[..durable.len()],
                 &durable[..],
@@ -381,11 +299,11 @@ mod tests {
         log.flush().unwrap();
         let blocks = log.blocks().to_vec();
         let f2 = f.reboot();
-        let (rec, report) = BlackBox::recover(&f2, &blocks, 64).unwrap();
-        assert_eq!(rec.num_frames(), 4, "1,2,3,9 kept; 4 cuts; 10 dropped");
+        let (rec, report) = BlackBox::recover(&f2, &blocks).unwrap();
+        assert_eq!(rec.frames().len(), 4, "1,2,3,9 kept; 4 cuts; 10 dropped");
         assert_eq!(report.malformed_dropped, 1);
         assert!(report.truncated());
-        assert_eq!(rec.last_tick(), Some(9));
+        assert_eq!(rec.frames().last().map(|fr| fr.tick), Some(9));
     }
 
     #[test]
@@ -398,8 +316,8 @@ mod tests {
         log.flush().unwrap();
         let blocks = log.blocks().to_vec();
         let f2 = f.reboot();
-        let (rec, report) = BlackBox::recover(&f2, &blocks, 64).unwrap();
-        assert_eq!(rec.num_frames(), 1);
+        let (rec, report) = BlackBox::recover(&f2, &blocks).unwrap();
+        assert_eq!(rec.frames().len(), 1);
         assert_eq!(report.malformed_dropped, 1);
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! Every committed write batch of a personal data server is described by
 //! a run of [`ChangeRec`]s stamped with the commit's hybrid logical
-//! clock. The records ride ordinary [`LogWriter`] record pages, so they
-//! inherit the whole flash contract for free: strictly sequential
-//! programs, per-page CRCs, and a recovery scan that truncates a torn
-//! tail to the durable prefix ([`ChangeLog::recover`]).
+//! clock. The records ride ordinary [`LogWriter`](crate::LogWriter)
+//! record pages, so they inherit the whole flash contract for free:
+//! strictly sequential programs, per-page CRCs, and a recovery scan that
+//! truncates a torn tail to the durable prefix ([`ChangeLog::recover`]).
 //!
 //! The log answers one question — `changes_since(h)` — which is what
 //! both consumers of the subsystem are built on: continuous queries
@@ -14,14 +14,17 @@
 //!
 //! Stamps here are raw `(counter, node)` pairs: the typed `Hlc` clock
 //! lives in `pds-db`, which this crate sits *below* in the layering
-//! matrix. Records are appended in strictly increasing stamp order
-//! (enforced — [`FlashError::OutOfOrderChange`]), so `changes_since` is
-//! a binary search over the RAM mirror, and the durable prefix after a
-//! power loss is always a causal prefix of history.
+//! matrix. The log is a [`StampedLog`] whose order rule is a
+//! non-decreasing stamp — all records of one commit share its stamp, and
+//! later commits stamp strictly higher (enforced —
+//! [`FlashError::OutOfOrderChange`](crate::FlashError::OutOfOrderChange))
+//! — so `changes_since` is a binary
+//! search over the RAM mirror, and the durable prefix after a power loss
+//! is always a causal prefix of history.
 
-use crate::error::{FlashError, Result};
+use crate::error::Result;
 use crate::geometry::BlockId;
-use crate::log::LogWriter;
+use crate::stamped::{FixedRecord, StampedLog, StampedRecovery};
 use crate::Flash;
 
 /// One committed change: "entity `entity` of store `store` changed at
@@ -49,9 +52,13 @@ impl ChangeRec {
     pub fn stamp(&self) -> (u64, u32) {
         (self.hlc, self.node)
     }
+}
+
+impl FixedRecord for ChangeRec {
+    type Wire = [u8; REC_BYTES];
 
     /// Fixed 19-byte wire form.
-    pub fn encode(&self) -> [u8; REC_BYTES] {
+    fn encode(&self) -> [u8; REC_BYTES] {
         let mut out = [0u8; REC_BYTES];
         out[0..8].copy_from_slice(&self.hlc.to_le_bytes());
         out[8..12].copy_from_slice(&self.node.to_le_bytes());
@@ -62,7 +69,7 @@ impl ChangeRec {
     }
 
     /// Parse the wire form; `None` on any size mismatch.
-    pub fn decode(bytes: &[u8]) -> Option<ChangeRec> {
+    fn decode(bytes: &[u8]) -> Option<ChangeRec> {
         if bytes.len() != REC_BYTES {
             return None;
         }
@@ -74,81 +81,51 @@ impl ChangeRec {
             entity: u32::from_le_bytes(bytes.get(15..19)?.try_into().ok()?),
         })
     }
-}
 
-/// What a [`ChangeLog::recover`] scan found and did.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ChangeLogRecovery {
-    /// Records recovered into the rebuilt log.
-    pub records_recovered: u64,
-    /// Torn pages discarded at the truncation point.
-    pub torn_pages_discarded: u64,
-    /// Records dropped because they failed to decode or broke stamp
-    /// monotonicity (everything after the first such record is dropped
-    /// too — the log only ever exposes a causal prefix).
-    pub malformed_dropped: u64,
+    /// Non-decreasing stamp: records of one commit share it.
+    fn follows(&self, prev: &ChangeRec) -> bool {
+        self.stamp() >= prev.stamp()
+    }
 }
 
 /// An appendable, durably recoverable log of [`ChangeRec`]s with a RAM
 /// mirror (19 B per record) serving `changes_since` without page I/O.
 pub struct ChangeLog {
-    flash: Flash,
-    log: LogWriter,
-    /// RAM mirror of every exposed record, in stamp order.
-    records: Vec<ChangeRec>,
+    log: StampedLog<ChangeRec>,
 }
 
 impl ChangeLog {
     /// An empty change log; no flash block is held until the first flush.
     pub fn new(flash: &Flash) -> Self {
         ChangeLog {
-            flash: flash.clone(),
-            log: flash.new_log(),
-            records: Vec::new(),
+            log: StampedLog::new(flash),
         }
-    }
-
-    /// Records currently exposed (flushed + buffered).
-    pub fn num_records(&self) -> u64 {
-        self.records.len() as u64
-    }
-
-    /// Stamp of the newest record, if any.
-    pub fn last_stamp(&self) -> Option<(u64, u32)> {
-        self.records.last().map(ChangeRec::stamp)
     }
 
     /// Every exposed record, in stamp order (the RAM mirror). Replay
     /// input for layers rebuilding their version marks after recovery.
     pub fn records(&self) -> &[ChangeRec] {
-        &self.records
+        self.log.records()
     }
 
     /// The erase blocks the log occupies — its durable identity, to be
     /// persisted by the layer above and handed to [`ChangeLog::recover`].
     pub fn blocks(&self) -> Vec<BlockId> {
-        self.log.blocks().to_vec()
+        self.log.blocks()
     }
 
-    /// Append one record. Stamps must be non-decreasing — all records of
-    /// one commit share its stamp, and later commits stamp strictly
-    /// higher. Appending below [`last_stamp`](Self::last_stamp) is
-    /// refused with [`FlashError::OutOfOrderChange`].
+    /// Append one record. Stamps must be non-decreasing; appending below
+    /// the newest stamp is refused with
+    /// [`FlashError::OutOfOrderChange`](crate::FlashError::OutOfOrderChange).
     pub fn append(&mut self, rec: ChangeRec) -> Result<()> {
-        if let Some(last) = self.last_stamp() {
-            if rec.stamp() < last {
-                return Err(FlashError::OutOfOrderChange);
-            }
-        }
-        self.log.append(&rec.encode())?;
-        self.records.push(rec);
+        self.log.append(rec)?;
         pds_obs::counter("mvcc.changes_logged").inc();
         Ok(())
     }
 
     /// Durably flush buffered records to flash.
     pub fn flush(&mut self) -> Result<()> {
-        self.log.flush()
+        self.log.flush().map(drop)
     }
 
     /// Every record with a stamp strictly greater than `(hlc, node)`, in
@@ -156,99 +133,50 @@ impl ChangeLog {
     /// consumers keep a cursor stamp and receive each committed change
     /// exactly once.
     pub fn changes_since(&self, hlc: u64, node: u32) -> Vec<ChangeRec> {
-        let from = self.records.partition_point(|r| r.stamp() <= (hlc, node));
-        self.records[from..].to_vec()
+        self.log.since(|r| r.stamp() <= (hlc, node)).to_vec()
     }
 
     /// Drop the suffix of records starting at the first one `keep`
     /// rejects; returns how many were dropped. Used after recovery to
     /// discard *phantom* records — records whose commit stamp survived
     /// the crash but whose data rows did not — so `changes_since` never
-    /// names an entity newer than the recovered store. The flash pages
-    /// still hold the dropped bytes; the next [`compact`](Self::compact)
-    /// rewrites them away.
+    /// names an entity newer than the recovered store. The next
+    /// [`compact`](Self::compact) rewrites the dropped bytes away.
     pub fn retain_prefix(&mut self, keep: impl Fn(&ChangeRec) -> bool) -> u64 {
-        let cut = self
-            .records
-            .iter()
-            .position(|r| !keep(r))
-            .unwrap_or(self.records.len());
-        let dropped = (self.records.len() - cut) as u64;
-        self.records.truncate(cut);
-        dropped
+        self.log.retain_prefix(keep)
     }
 
     /// Compact against a GC floor: rewrite every record with a stamp
     /// strictly greater than `(hlc, node)` into a fresh log and return
-    /// the old blocks to the pool (append-only structures compact by
-    /// whole-log rewrite — partial GC never occurs on this flash).
-    /// Returns the number of records dropped.
+    /// the old blocks to the pool. Returns the number of records dropped.
     pub fn compact(&mut self, hlc: u64, node: u32) -> Result<u64> {
-        let keep = self.records.partition_point(|r| r.stamp() <= (hlc, node));
+        let keep = self
+            .log
+            .records()
+            .partition_point(|r| r.stamp() <= (hlc, node));
+        self.log.compact_keep_from(keep)?;
         let dropped = keep as u64;
-        let mut fresh = self.flash.new_log();
-        for rec in &self.records[keep..] {
-            fresh.append(&rec.encode())?;
-        }
-        // Make the survivors durable before the old blocks go back to the
-        // pool — compaction must never narrow the durable history.
-        fresh.flush()?;
-        let old = std::mem::replace(&mut self.log, fresh);
-        old.discard();
-        self.records.drain(..keep);
         pds_obs::counter("mvcc.changes_compacted").add(dropped);
         Ok(dropped)
     }
 
-    /// Rebuild a change log after a power loss from its block list. The
-    /// page scan is [`LogWriter::recover`] (CRC-checked, torn tail
-    /// truncated); on top of it, any record that fails to decode or
-    /// breaks stamp monotonicity cuts the log there — the recovered log
-    /// is always a causal prefix of the pre-crash history, so
-    /// `changes_since` can never return a record the durable stores have
-    /// no data for (phantoms from *lost data rows* are the caller's cut,
-    /// via [`retain_prefix`](Self::retain_prefix)).
-    pub fn recover(flash: &Flash, blocks: &[BlockId]) -> Result<(ChangeLog, ChangeLogRecovery)> {
-        let (log, rep) = LogWriter::recover(flash, blocks)?;
-        let mut records: Vec<ChangeRec> = Vec::new();
-        let mut malformed = 0u64;
-        'pages: for page in 0..log.num_pages() {
-            for bytes in log.read_page_records(page)? {
-                let parsed = ChangeRec::decode(&bytes);
-                let monotone = match (&parsed, records.last()) {
-                    (Some(rec), Some(last)) => rec.stamp() >= last.stamp(),
-                    (Some(_), None) => true,
-                    (None, _) => false,
-                };
-                match parsed {
-                    Some(rec) if monotone => records.push(rec),
-                    _ => {
-                        malformed = 1;
-                        break 'pages;
-                    }
-                }
-            }
-        }
-        let report = ChangeLogRecovery {
-            records_recovered: records.len() as u64,
-            torn_pages_discarded: rep.torn_pages_discarded,
-            malformed_dropped: malformed,
-        };
+    /// Rebuild a change log after a power loss from its block list
+    /// ([`StampedLog::recover`]). The recovered log is always a causal
+    /// prefix of the pre-crash history, so `changes_since` can never
+    /// return a record the durable stores have no data for (phantoms
+    /// from *lost data rows* are the caller's cut, via
+    /// [`retain_prefix`](Self::retain_prefix)).
+    pub fn recover(flash: &Flash, blocks: &[BlockId]) -> Result<(ChangeLog, StampedRecovery)> {
+        let (log, report) = StampedLog::recover(flash, blocks)?;
         pds_obs::counter("recovery.changes_recovered").add(report.records_recovered);
-        Ok((
-            ChangeLog {
-                flash: flash.clone(),
-                log,
-                records,
-            },
-            report,
-        ))
+        Ok((ChangeLog { log }, report))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FlashError;
 
     fn rec(hlc: u64, store: u16, entity: u32) -> ChangeRec {
         ChangeRec {
@@ -302,7 +230,7 @@ mod tests {
             FlashError::OutOfOrderChange
         );
         log.append(rec(6, 0, 2)).unwrap();
-        assert_eq!(log.num_records(), 3);
+        assert_eq!(log.records().len(), 3);
         // A multi-record commit is returned whole or not at all.
         assert_eq!(log.changes_since(4, u32::MAX).len(), 3);
         assert_eq!(log.changes_since(5, 7).len(), 1);
@@ -316,16 +244,16 @@ mod tests {
             log.append(rec(i, 1, i as u32)).unwrap();
         }
         log.flush().unwrap();
-        let durable = log.num_records();
+        let durable = log.records().len() as u64;
         // Buffered-only records die with RAM.
         log.append(rec(201, 1, 201)).unwrap();
         let blocks = log.blocks();
 
         let f2 = f.reboot();
         let (rec2, report) = ChangeLog::recover(&f2, &blocks).unwrap();
-        assert_eq!(rec2.num_records(), durable);
+        assert_eq!(rec2.records().len() as u64, durable);
         assert_eq!(report.records_recovered, durable);
-        assert_eq!(rec2.last_stamp(), Some((200, 7)));
+        assert_eq!(rec2.records().last().map(ChangeRec::stamp), Some((200, 7)));
         assert_eq!(rec2.changes_since(150, 7).len(), 50);
     }
 
@@ -341,14 +269,14 @@ mod tests {
         assert!(f.free_blocks() < before);
         let dropped = log.compact(1500, u32::MAX).unwrap();
         assert_eq!(dropped, 1500);
-        assert_eq!(log.num_records(), 500);
+        assert_eq!(log.records().len(), 500);
         assert_eq!(log.changes_since(0, 0).len(), 500);
         // The rewritten log still recovers.
         log.flush().unwrap();
         let blocks = log.blocks();
         let f2 = f.reboot();
         let (rec2, _) = ChangeLog::recover(&f2, &blocks).unwrap();
-        assert_eq!(rec2.num_records(), 500);
+        assert_eq!(rec2.records().len(), 500);
         assert_eq!(rec2.changes_since(0, 0)[0].hlc, 1501);
     }
 
@@ -362,6 +290,6 @@ mod tests {
         // Entities 1..=6 survived the crash; 7 and everything after is cut.
         let dropped = log.retain_prefix(|r| r.entity <= 6);
         assert_eq!(dropped, 4);
-        assert_eq!(log.last_stamp(), Some((6, 7)));
+        assert_eq!(log.records().last().map(ChangeRec::stamp), Some((6, 7)));
     }
 }

@@ -52,10 +52,11 @@ pub enum FlashError {
     /// The block's erase no longer completes (worn out / stuck cells).
     /// The allocator retires such blocks from the pool.
     StuckBlock(BlockId),
-    /// A change record was appended with an HLC stamp below the log's
-    /// newest stamp. The change log is the fleet's causal history:
-    /// it must be monotone by construction, so a non-monotone append is
-    /// a caller bug surfaced as a typed error, never silently reordered.
+    /// A record was appended to a stamped log out of its order rule
+    /// (e.g. a change record with an HLC stamp below the log's newest
+    /// stamp). A stamped log is a causal history: it must be monotone by
+    /// construction, so a non-monotone append is a caller bug surfaced
+    /// as a typed error, never silently reordered.
     OutOfOrderChange,
 }
 
@@ -91,7 +92,7 @@ impl fmt::Display for FlashError {
             FlashError::PowerLoss => write!(f, "power lost: chip offline until reboot"),
             FlashError::StuckBlock(b) => write!(f, "block {} is stuck (erase failed)", b.0),
             FlashError::OutOfOrderChange => {
-                write!(f, "non-monotone HLC stamp appended to the change log")
+                write!(f, "out-of-order record appended to a stamped log")
             }
         }
     }

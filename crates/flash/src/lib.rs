@@ -24,6 +24,9 @@
 //!   occurs").
 //! * [`Log`] / [`LogWriter`] — the append-only *Log* abstraction of Part II:
 //!   "pages are written sequentially (and never updated nor moved)".
+//! * [`StampedLog`] — a recoverable log of fixed-width, ordered records
+//!   with a RAM mirror; the MVCC [`ChangeLog`] and the flight-recorder
+//!   [`BlackBox`] are its two instances.
 //! * [`Flash`] — a cheaply clonable handle sharing one chip between the many
 //!   logs of a personal data server.
 //!
@@ -40,17 +43,19 @@ pub mod geometry;
 pub mod log;
 pub mod nand;
 mod proptests;
+pub mod stamped;
 pub mod stats;
 
 pub use alloc::BlockAllocator;
-pub use blackbox::{BlackBox, BlackboxRecovery, DEFAULT_FRAME_CAP};
-pub use changelog::{ChangeLog, ChangeLogRecovery, ChangeRec};
+pub use blackbox::{BlackBox, FRAME_CAP};
+pub use changelog::{ChangeLog, ChangeRec};
 pub use cost::CostModel;
 pub use error::{FlashError, Result};
 pub use fault::{FaultPlan, ProgramFault};
 pub use geometry::{BlockId, FlashGeometry, PageAddr};
 pub use log::{Log, LogReader, LogWriter, RecordAddr, RecoveryReport};
 pub use nand::{ChipSnapshot, NandFlash};
+pub use stamped::{FixedRecord, StampedLog, StampedRecovery};
 pub use stats::IoStats;
 
 use std::cell::RefCell;

@@ -148,10 +148,15 @@ pub const CRATES: &[CrateConfig] = &[
         dir: "flash",
         lib: "pds_flash",
         families: &[Family::Panic],
-        // The change log is the fleet's causal history: its stamp
-        // ordering and recovery cuts feed baseline-checked counters and
-        // must replay identically on every machine.
-        det_files: &["flash/src/changelog.rs", "flash/src/blackbox.rs"],
+        // The stamped logs (change log, flight recorder) are the fleet's
+        // causal history: their order rules and recovery cuts feed
+        // baseline-checked counters and must replay identically on
+        // every machine.
+        det_files: &[
+            "flash/src/stamped.rs",
+            "flash/src/changelog.rs",
+            "flash/src/blackbox.rs",
+        ],
         allowed_deps: &["pds_obs"],
     },
     CrateConfig {
@@ -701,6 +706,20 @@ mod tests {
         assert!(rules.contains(&"det.time"), "{f:?}");
         // The same source elsewhere in the crate stays unconstrained.
         assert!(lint_source(cfg("obs"), "obs/src/metrics.rs", src).is_empty());
+    }
+
+    #[test]
+    fn determinism_covers_the_stamped_log() {
+        let src = "fn f() { let _t = std::time::Instant::now(); }\n";
+        for file in [
+            "flash/src/stamped.rs",
+            "flash/src/changelog.rs",
+            "flash/src/blackbox.rs",
+        ] {
+            let f = lint_source(cfg("flash"), file, src);
+            assert!(f.iter().any(|x| x.rule == "det.time"), "{file}: {f:?}");
+        }
+        assert!(lint_source(cfg("flash"), "flash/src/nand.rs", src).is_empty());
     }
 
     #[test]

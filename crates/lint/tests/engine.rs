@@ -45,6 +45,31 @@ fn egress_ok_twin_is_clean_with_one_waiver() {
 }
 
 #[test]
+fn blackbox_sinks_fire_on_the_gateway_call_shape() {
+    // The shipped model's recorder sinks, on `self.blackbox.<sink>(..)`
+    // as the gateway calls them.
+    let report = run("ws_blackbox_bad");
+    assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
+    let chains: Vec<String> = report
+        .findings
+        .iter()
+        .map(|f| {
+            assert_eq!(f.rule, "flow.plaintext_egress");
+            assert!(f.message.contains("flight-recorder"), "{}", f.message);
+            f.chain.join(" → ")
+        })
+        .collect();
+    for sink in ["BlackBox::absorb", "BlackBox::record"] {
+        assert!(
+            chains
+                .iter()
+                .any(|c| c.contains("DocStore::get") && c.contains(sink)),
+            "{sink} not reached: {chains:?}"
+        );
+    }
+}
+
+#[test]
 fn panic_bad_reaches_across_the_crate_boundary() {
     let report = run("ws_panic_bad");
     assert_eq!(report.findings.len(), 1, "{:?}", report.findings);

@@ -52,6 +52,12 @@ mkdir -p target/forensics
 PDS_E19_TOKENS=24 PDS_E19_MAX_THREADS=4 \
   cargo run --release -q -p pds-bench --bin report -- \
   --forensics-json target/forensics/postmortem.json e19
+# Wall-clock benchmark smoke: every perfbench workload runs at a tiny
+# scale and passes its own output checks (named metrics, read-back
+# after power cycles), so a program change that breaks the benchmark
+# fails here rather than at the next benchmark run. perfbench is a
+# package of its own, outside the workspace.
+cargo test --release --manifest-path perfbench/Cargo.toml
 # Deterministic cost baseline: replay the scope and env knobs recorded
 # in BENCH_BASELINE.json and compare every deterministic metric (flash
 # IO, bus delivery, recovery, RAM high-water, lint posture) exactly.
